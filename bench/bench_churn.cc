@@ -6,11 +6,10 @@
 //      automatic tombstone compaction off vs on. Reports mutations/sec,
 //      solves/sec, and the peak resident fact-slot count (off: slots grow
 //      with every re-insert; on: bounded by alive/(1-dead_ratio)).
-//   2. Locking: T threads, each churning its own disjoint q-connected
-//      components and solving after every round, under the PR 3-style
-//      exclusive per-database lock (ServiceOptions::
-//      exclusive_lock_baseline) vs the component-sharded scheme. Reports
-//      combined throughput and the speedup.
+//   2. Locking: T threads (1, 2, 4, ... up to --threads), each churning
+//      its own disjoint q-connected components and solving after every
+//      round under the component-sharded locking scheme. Reports
+//      combined throughput per thread count.
 //
 // Custom main (not google-benchmark): the experiments need a shared
 // Service across threads, peak-stat polling, and an A/B over
@@ -145,15 +144,13 @@ void RunCompactionExperiment(const Config& config, bool compaction,
 }
 
 // ---------------------------------------------------------------------
-// Experiment 2: exclusive-lock baseline vs component-sharded locking,
-// T threads of mutate+solve rounds on disjoint components.
+// Experiment 2: component-sharded locking, T threads of mutate+solve
+// rounds on disjoint components.
 // ---------------------------------------------------------------------
 
-double RunLockingExperiment(const Config& config, std::size_t threads,
-                            bool baseline, std::FILE* out,
-                            bench::BenchJsonWriter* writer) {
+void RunLockingExperiment(const Config& config, std::size_t threads,
+                          std::FILE* out, bench::BenchJsonWriter* writer) {
   ServiceOptions options;
-  options.exclusive_lock_baseline = baseline;
   options.compact_dead_ratio = 0.4;
   options.compact_min_slots = 256;
   options.verdict_cache.max_entries =
@@ -194,18 +191,17 @@ double RunLockingExperiment(const Config& config, std::size_t threads,
   double rounds = static_cast<double>(rounds_per_thread * threads);
   double per_sec = rounds / elapsed;
   std::fprintf(out,
-               "threads=%2zu  locking=%-9s  rounds/sec=%9.0f  "
+               "threads=%2zu  rounds/sec=%9.0f  "
                "(each round = 2 mutations + 1 solve)\n",
-               threads, baseline ? "exclusive" : "sharded", per_sec);
+               threads, per_sec);
   bench::BenchEntry entry;
   entry.name = "locking/threads=" + std::to_string(threads);
-  entry.variant = baseline ? "exclusive" : "sharded";
+  entry.variant = "sharded";
   entry.wall_seconds = elapsed;
   entry.iterations = rounds_per_thread * threads;
   entry.counters = {{"rounds_per_sec", per_sec},
                     {"threads", static_cast<double>(threads)}};
   writer->Add(std::move(entry));
-  return per_sec;
 }
 
 void Run(const Config& config) {
@@ -220,21 +216,9 @@ void Run(const Config& config) {
   RunCompactionExperiment(config, /*compaction=*/false, out, &writer);
   RunCompactionExperiment(config, /*compaction=*/true, out, &writer);
 
-  std::fprintf(out, "\n[2] exclusive-lock baseline vs sharded locking\n");
-  double base1 =
-      RunLockingExperiment(config, 1, /*baseline=*/true, out, &writer);
-  (void)base1;
-  std::vector<std::size_t> thread_counts;
-  for (std::size_t t = 2; t <= config.threads; t *= 2) {
-    thread_counts.push_back(t);
-  }
-  for (std::size_t t : thread_counts) {
-    double exclusive =
-        RunLockingExperiment(config, t, /*baseline=*/true, out, &writer);
-    double sharded =
-        RunLockingExperiment(config, t, /*baseline=*/false, out, &writer);
-    std::fprintf(out, "threads=%2zu  sharded/exclusive speedup: %.2fx\n", t,
-                 sharded / exclusive);
+  std::fprintf(out, "\n[2] sharded locking, throughput per thread count\n");
+  for (std::size_t t = 1; t <= config.threads; t *= 2) {
+    RunLockingExperiment(config, t, out, &writer);
   }
 
   std::string path = writer.WriteMerged(config.out_dir);

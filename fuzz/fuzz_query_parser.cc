@@ -9,10 +9,11 @@
 //   - Structural sanity: every atom's variable list matches its
 //     relation's arity, key lengths never exceed arities, and the
 //     variable count respects the parser's 64-variable bound.
-//   - Small two-atom queries additionally go through the classifier via
+//   - Small queries of any atom count additionally go through
 //     CertainSolver::Create, which must return either a solver or a
-//     typed error — never crash. (The tripath search is bounded, so this
-//     cannot hang.)
+//     typed error — never crash (queries without exactly two atoms are
+//     kInvalidQuery). The tripath search is bounded, so this cannot
+//     hang.
 //
 // Seed corpus: fuzz/corpus/query_parser/ — the paper's query shapes plus
 // near-miss malformed variants, so coverage starts at the grammar instead
@@ -84,10 +85,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
         printed + "\nvs\n" + reparsed->ToString());
   }
 
-  // Classification sweep for the paper's object of study: small two-atom
-  // queries. Either outcome (solver or typed error) is fine; crashes and
-  // CHECK-aborts are the bug.
-  if (q.NumAtoms() == 2 && q.NumVars() <= 8) {
+  // Classification sweep over small queries of every atom count. Either
+  // outcome (solver or typed error) is fine; crashes and CHECK-aborts are
+  // the bug.
+  if (q.NumVars() <= 8) {
     cqa::StatusOr<cqa::CertainSolver> solver =
         cqa::CertainSolver::Create(q);
     if (!solver.ok() && solver.status().message().empty()) {

@@ -1,9 +1,10 @@
 // SolveReport: the answer to certain(q) with full provenance.
 //
 // Like api/status.h, this is boundary *vocabulary*, not machinery: it
-// depends only on layers below engine/, so engine/batch.h can speak
-// StatusOr<SolveReport> without pulling the Service in — the dependency
-// between engine/ and the api/ machinery stays one-way (api uses engine).
+// depends only on layers below engine/, so engine code (the incremental
+// solver) can build reports without pulling the Service in — the
+// dependency between engine/ and the api/ machinery stays one-way (api
+// uses engine).
 //
 // Replaces the bare SolverAnswer {bool, enum} at the API boundary: every
 // solve reports what was decided, by which dichotomy class and algorithm,
@@ -64,8 +65,9 @@ struct SolveReport {
   std::uint64_t num_facts = 0;
   std::uint64_t num_blocks = 0;
 
-  /// Component-level reuse (set only by the incremental solve path of
-  /// mutable registered databases; zero/false on the full-solve path).
+  /// Component-level reuse (set by solves on registered databases, which
+  /// all go through the incremental path; zero/false for caller-owned
+  /// databases, which are solved whole).
   /// components_resolved + components_cached == components_total.
   bool incremental = false;
   std::uint64_t components_total = 0;
@@ -110,8 +112,8 @@ struct SolveReport {
 /// with CanExplain the answer and witness come from one Explain pass
 /// (never Solve *and* Explain, which would double the expensive
 /// searches). Parse/classify/prepare timings are the caller's to fill
-/// in. Shared by Service and BatchSolver so single-shot and batch
-/// reports can never drift apart.
+/// in. The whole-database solve path for caller-owned databases
+/// (Service::Solve(q, db), and through it SolveBatch).
 SolveReport ExecuteReport(const Classification& classification,
                           const CertainBackend& backend,
                           const PreparedDatabase& pdb, bool want_witness);

@@ -1,6 +1,8 @@
 #include "api/service.h"
 
+#include <algorithm>
 #include <chrono>
+#include <thread>
 #include <unordered_set>
 #include <utility>
 
@@ -512,30 +514,14 @@ StatusOr<SolveReport> Service::Solve(const CompiledQuery& q,
   if (!bound.ok()) return bound;
 
   SolveReport report;
-  if (options_.incremental_solving && q.query().NumAtoms() == 2) {
-    if (options_.exclusive_lock_baseline) {
-      // Benchmark baseline: the pre-sharding behavior, every incremental
-      // solve exclusive per database.
-      std::unique_lock lock((*entry)->structure);
-      EnsurePrepared(**entry);
-      auto inc = IncrementalFor(**entry, q);
-      report = inc->solver->Solve(options_.explain_non_certain);
-      if (name_witness) NameWitness((*entry)->db, &report);
-    } else {
-      // The shared lock only excludes mutations/compactions: concurrent
-      // solves — cache hits and cache fills alike — proceed in parallel,
-      // coordinating per component through the solver's shard locks.
-      std::shared_lock lock((*entry)->structure);
-      EnsurePrepared(**entry);
-      auto inc = IncrementalFor(**entry, q);
-      report = inc->solver->Solve(options_.explain_non_certain);
-      if (name_witness) NameWitness((*entry)->db, &report);
-    }
-  } else {
+  {
+    // The shared lock only excludes mutations/compactions: concurrent
+    // solves — cache hits and cache fills alike — proceed in parallel,
+    // coordinating per component through the solver's shard locks.
     std::shared_lock lock((*entry)->structure);
     EnsurePrepared(**entry);
-    report = ExecuteReport(q.classification(), q.state_->solver.backend(),
-                           *(*entry)->prepared, options_.explain_non_certain);
+    auto inc = IncrementalFor(**entry, q);
+    report = inc->solver->Solve(options_.explain_non_certain);
     if (name_witness) NameWitness((*entry)->db, &report);
   }
   report.timings.prepare_seconds = (*entry)->prepare_seconds;
@@ -738,35 +724,58 @@ StatusOr<SolveReport> Service::Solve(const CompiledQuery& q,
   return report;
 }
 
-std::vector<StatusOr<SolveReport>> Service::SolveMany(
-    const CompiledQuery& q, const std::vector<std::string>& db_names) const {
-  std::vector<StatusOr<SolveReport>> reports;
-  reports.reserve(db_names.size());
-  for (const std::string& name : db_names) reports.push_back(Solve(q, name));
-  return reports;
-}
-
 std::vector<StatusOr<SolveReport>> Service::SolveBatch(
     const CompiledQuery& q, const std::vector<const Database*>& dbs,
     BatchStats* stats) const {
-  if (!q.valid()) {
-    std::vector<StatusOr<SolveReport>> reports;
-    reports.reserve(dbs.size());
-    for (std::size_t i = 0; i < dbs.size(); ++i) {
-      reports.push_back(
-          Status(StatusCode::kInvalidArgument,
-                 "empty CompiledQuery handle (use Service::Compile)"));
+  // Pre-screen pointers on the caller's thread: a null slot has nothing
+  // to solve, and a repeated pointer's lazy block index would be built by
+  // two threads at once. Every other error comes from Solve itself.
+  std::vector<std::optional<StatusOr<SolveReport>>> slots(dbs.size());
+  std::unordered_set<const Database*> seen;
+  for (std::size_t i = 0; i < dbs.size(); ++i) {
+    if (dbs[i] == nullptr) {
+      slots[i] = Status(StatusCode::kInvalidArgument,
+                        "null database in batch slot " + std::to_string(i));
+    } else if (!seen.insert(dbs[i]).second) {
+      slots[i] = Status(StatusCode::kInvalidArgument,
+                        "duplicate database pointer in batch slot " +
+                            std::to_string(i) +
+                            " (each database must be solved by one thread)");
     }
-    return reports;
   }
-  BatchOptions batch_options;
-  batch_options.num_threads = options_.batch_threads;
-  batch_options.want_witness = options_.explain_non_certain;
-  BatchSolver batch(q.state_->solver, batch_options);
-  std::vector<StatusOr<SolveReport>> reports =
-      batch.SolveAllReports(dbs, stats);
-  for (StatusOr<SolveReport>& report : reports) {
-    if (report.ok()) FillCompileTimings(q, &report.value());
+
+  // Parallel-for: each thread claims the next slot through a shared
+  // cursor and writes only that slot.
+  std::size_t num_threads = std::min<std::size_t>(
+      std::max(1u, std::thread::hardware_concurrency()), dbs.size());
+  std::atomic<std::size_t> next{0};
+  auto worker = [&] {
+    for (;;) {
+      std::size_t i = next++;
+      if (i >= dbs.size()) return;
+      if (!slots[i].has_value()) slots[i] = Solve(q, *dbs[i]);
+    }
+  };
+  auto start = std::chrono::steady_clock::now();
+  std::vector<std::thread> pool;
+  pool.reserve(num_threads);
+  for (std::size_t t = 0; t < num_threads; ++t) pool.emplace_back(worker);
+  for (std::thread& t : pool) t.join();
+  double wall_seconds = SecondsSince(start);
+
+  std::vector<StatusOr<SolveReport>> reports;
+  reports.reserve(dbs.size());
+  std::uint64_t solved = 0;
+  for (std::optional<StatusOr<SolveReport>>& slot : slots) {
+    if (slot->ok()) ++solved;
+    reports.push_back(std::move(*slot));
+  }
+  if (stats != nullptr) {
+    stats->threads_used = static_cast<std::uint32_t>(num_threads);
+    stats->queries = solved;
+    stats->wall_seconds = wall_seconds;
+    stats->queries_per_sec =
+        wall_seconds > 0.0 ? static_cast<double>(solved) / wall_seconds : 0.0;
   }
   return reports;
 }

@@ -22,11 +22,14 @@
 //     the life of the Service.
 //   - RegisterDatabase ingests and prepares (block partition + indexes)
 //     once; every later solve against that name reuses the preparation.
-//   - InsertFacts/DeleteFacts mutate a registered database in place:
-//     the preparation is delta-maintained (never rebuilt) and solves
-//     after a delta re-solve only the q-connected components the delta
-//     touched, merging cached verdicts for the rest (see
-//     engine/incremental.h; SolveReport::components_* report the reuse).
+//   - Every solve on a registered database goes through its per-query
+//     IncrementalSolver: certain(q) decomposes over the q-connected
+//     components (Proposition 10.6(2)), so a solve re-solves only the
+//     components an InsertFacts/DeleteFacts delta touched and merges
+//     cached verdicts for the rest (see engine/incremental.h;
+//     SolveReport::components_* report the reuse). The preparation is
+//     delta-maintained, never rebuilt. Caller-owned databases are
+//     prepared per call and solved whole.
 //   - Solves return SolveReport (api/report.h): answer, class,
 //     algorithm, per-phase timings, size counters, and a
 //     falsifying-repair witness for non-certain answers when the
@@ -58,9 +61,7 @@
 // component serialize, and the loser reuses the winner's verdict.
 // Compile, registration, and solves on different databases also run
 // concurrently; a database dropped mid-solve stays alive until the solve
-// returns. ServiceOptions::exclusive_lock_baseline restores the
-// pre-sharding behavior (every incremental solve exclusive) for
-// benchmarking.
+// returns.
 //
 // The acquisition order across these locks is a machine-checked hierarchy
 // (base/lock_rank.h): kServiceRegistry (mutex_) > kDbEntry (structure) >
@@ -93,7 +94,6 @@
 #include "data/audit.h"
 #include "data/database.h"
 #include "data/prepared.h"
-#include "engine/batch.h"
 #include "engine/incremental.h"
 #include "engine/solver.h"
 #include "store/store.h"
@@ -106,16 +106,9 @@ struct ServiceOptions {
   std::uint32_t practical_k = 4;
   /// Bounds for the classifier's tripath search.
   TripathSearchLimits tripath_limits;
-  /// Worker threads for SolveBatch; 0 means hardware concurrency.
-  std::uint32_t batch_threads = 0;
   /// Attach falsifying-repair witnesses to non-certain reports (backends
   /// without Explain still report no witness).
   bool explain_non_certain = true;
-  /// Solve registered databases through the per-component verdict cache
-  /// (two-atom queries only; others always take the full-solve path).
-  /// Costs one component partition per (database, query) pair up front;
-  /// pays off as soon as the database mutates between solves.
-  bool incremental_solving = true;
 
   // -- Memory & concurrency knobs (see the header comment) ------------
 
@@ -163,10 +156,6 @@ struct ServiceOptions {
   /// Never auto-compact below this many slots (churn on tiny databases
   /// isn't worth the remap traffic).
   std::size_t compact_min_slots = 256;
-  /// Benchmark baseline: take the per-database lock exclusively for every
-  /// incremental solve (the pre-sharding PR 3 behavior) instead of
-  /// running cache-filling solves in parallel under the shared lock.
-  bool exclusive_lock_baseline = false;
 
   // -- Durability (src/store) -----------------------------------------
 
@@ -193,6 +182,14 @@ struct ServiceOptions {
     bool persist_verdicts = true;
   };
   DurabilityOptions durability;
+};
+
+/// Throughput accounting for one Service::SolveBatch call.
+struct BatchStats {
+  std::uint32_t threads_used = 0;
+  std::uint64_t queries = 0;  ///< Slots solved (errored slots excluded).
+  double wall_seconds = 0.0;
+  double queries_per_sec = 0.0;
 };
 
 /// What a mutation batch did.
@@ -343,8 +340,9 @@ class Service {
   // -- Queries --------------------------------------------------------
 
   /// Parses, classifies, and binds `text` (cached). Errors:
-  /// kInvalidQuery (with line:column + caret), kUnknownBackend,
-  /// kCapabilityMismatch, kUnresolvedClass.
+  /// kInvalidQuery (with line:column + caret, or for a query that does
+  /// not have exactly two atoms), kUnknownBackend, kCapabilityMismatch,
+  /// kUnresolvedClass.
   [[nodiscard]] StatusOr<CompiledQuery> Compile(std::string_view text,
                                   const CompileOptions& options = {});
 
@@ -449,12 +447,11 @@ class Service {
   [[nodiscard]] StatusOr<SolveReport> Solve(const CompiledQuery& q,
                                             const Database& db) const;
 
-  /// One report per registered name, in input order; per-slot errors.
-  std::vector<StatusOr<SolveReport>> SolveMany(
-      const CompiledQuery& q, const std::vector<std::string>& db_names) const;
-
-  /// Answers certain(q) on N caller-owned databases on the batch thread
-  /// pool; per-slot errors (see BatchSolver::SolveAllReports).
+  /// Answers certain(q) on N caller-owned databases in parallel on
+  /// min(hardware concurrency, N) threads, one report per database in
+  /// input order. A poisoned slot — null pointer, a pointer
+  /// repeated in the batch (whose lazy block index two threads would race
+  /// on), or any error Solve(q, db) returns — fails only itself.
   std::vector<StatusOr<SolveReport>> SolveBatch(
       const CompiledQuery& q, const std::vector<const Database*>& dbs,
       BatchStats* stats = nullptr) const;

@@ -4,8 +4,8 @@
 // query once (Prepare) and then answers any number of prepared databases
 // (Solve). The uniform interface makes the dichotomy's algorithms
 // interchangeable and benchmarkable against each other, and lets the
-// dispatcher (engine/solver.h) and the batch engine (engine/batch.h)
-// treat them opaquely.
+// dispatcher (engine/solver.h) and the incremental solver
+// (engine/incremental.h) treat them opaquely.
 //
 // Thread-safety contract: after Prepare returns, Solve must be const and
 // safe to call concurrently from multiple threads on distinct

@@ -1,6 +1,7 @@
 #include "engine/solver.h"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "base/check.h"
@@ -37,6 +38,15 @@ std::string_view BackendNameFor(QueryClass query_class) {
 
 StatusOr<CertainSolver> CertainSolver::Create(ConjunctiveQuery query,
                                               SolverOptions options) {
+  // The dichotomy (and every backend) covers two-atom queries only; the
+  // parser accepts any atom count, so reject the rest here rather than
+  // let the classifier CHECK-abort on client text.
+  if (query.NumAtoms() != 2) {
+    return Status(StatusCode::kInvalidQuery,
+                  "query " + query.ToString() + " has " +
+                      std::to_string(query.NumAtoms()) +
+                      " atom(s); only two-atom queries are supported");
+  }
   Classification classification =
       ClassifyQuery(query, options.tripath_limits);
   std::string_view name = options.forced_backend.empty()

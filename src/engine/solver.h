@@ -54,8 +54,9 @@ struct SolverAnswer {
 class CertainSolver {
  public:
   /// Exception-free construction: classifies the query and binds its
-  /// backend. Errors: kUnknownBackend when `options.forced_backend` names
-  /// no registered backend, kCapabilityMismatch when the chosen backend
+  /// backend. Errors: kInvalidQuery when `query` does not have exactly
+  /// two atoms, kUnknownBackend when `options.forced_backend` names no
+  /// registered backend, kCapabilityMismatch when the chosen backend
   /// cannot answer `query`.
   [[nodiscard]] static StatusOr<CertainSolver> Create(ConjunctiveQuery query,
                                         SolverOptions options = {});
@@ -63,8 +64,8 @@ class CertainSolver {
   /// Decides whether `query()` is certain for db.
   SolverAnswer Solve(const Database& db) const;
 
-  /// As above on an already-prepared database; thread-safe, so batch
-  /// callers may share one solver across worker threads.
+  /// As above on an already-prepared database; thread-safe, so callers
+  /// may share one solver across threads.
   SolverAnswer Solve(const PreparedDatabase& pdb) const;
 
   const Classification& classification() const { return classification_; }

@@ -74,6 +74,32 @@ TEST(ServiceCompile, BadQueryTextIsInvalidQuery) {
       << q.status().message();
 }
 
+// The parser accepts any atom count, but the dichotomy covers two-atom
+// queries only: anything else must be a typed error, never a classifier
+// abort (the server hands client text straight to Compile).
+TEST(ServiceCompile, QueryWithoutTwoAtomsIsInvalidQuery) {
+  Service service;
+  const std::pair<const char*, const char*> kCases[] = {
+      {"R(x | y)", "has 1 atom(s)"},
+      {"R(x | y) R(y | z) R(z | w)", "has 3 atom(s)"},
+  };
+  for (const auto& [text, count] : kCases) {
+    StatusOr<CompiledQuery> q = service.Compile(text);
+    ASSERT_FALSE(q.ok()) << text;
+    EXPECT_EQ(q.status().code(), StatusCode::kInvalidQuery) << text;
+    EXPECT_NE(q.status().message().find(count), std::string::npos)
+        << q.status().message();
+    // Forcing a backend does not bypass the check.
+    CompileOptions forced;
+    forced.forced_backend = "exhaustive";
+    StatusOr<CompiledQuery> f = service.Compile(text, forced);
+    ASSERT_FALSE(f.ok()) << text;
+    EXPECT_EQ(f.status().code(), StatusCode::kInvalidQuery) << text;
+  }
+  EXPECT_EQ(service.CompiledCount(), 0u);
+  EXPECT_TRUE(service.Compile("R(x | y) R(y | z)").ok());
+}
+
 TEST(ServiceCompile, UnknownForcedBackend) {
   Service service;
   CompileOptions options;
@@ -242,23 +268,6 @@ TEST(ServiceSolve, EmptyHandleIsInvalidArgument) {
   EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ServiceSolveMany, PerDatabaseResults) {
-  Service service;
-  StatusOr<CompiledQuery> q = service.Compile("R(x | y) R(y | z)");
-  ASSERT_TRUE(q.ok());
-  ASSERT_TRUE(service.RegisterDatabase("good", ChainDb(q->query().schema())).ok());
-  Schema other;
-  other.AddRelation("S", 2, 1);
-  ASSERT_TRUE(service.RegisterDatabase("poisoned", Database(other)).ok());
-
-  std::vector<StatusOr<SolveReport>> reports =
-      service.SolveMany(*q, {"good", "poisoned", "missing"});
-  ASSERT_EQ(reports.size(), 3u);
-  EXPECT_TRUE(reports[0].ok());
-  EXPECT_EQ(reports[1].status().code(), StatusCode::kSchemaMismatch);
-  EXPECT_EQ(reports[2].status().code(), StatusCode::kNotFound);
-}
-
 // The batch acceptance bar: one poisoned database fails only its own
 // slot; every healthy slot matches the single-shot answer.
 TEST(ServiceSolveBatch, PoisonedDatabaseDoesNotTakeDownTheBatch) {
@@ -308,6 +317,62 @@ TEST(ServiceSolveBatch, NullAndDuplicatePointersFailPerSlot) {
   EXPECT_TRUE(reports[0].ok());
   EXPECT_EQ(reports[1].status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(reports[2].status().code(), StatusCode::kInvalidArgument);
+}
+
+// SolveBatch only schedules Solve(q, db) across threads: every slot must
+// match the single-shot answer, across the dichotomy's dispatch classes.
+TEST(ServiceSolveBatch, MatchesSingleShotSolveOnRandomWorkloads) {
+  const char* kCatalog[] = {
+      "R(x, u | x, v) R(v, y | u, y)",  // q1: coNP (condition).
+      "R(x, u | x, y) R(u, y | x, z)",  // q2: coNP (fork-tripath).
+      "R(x | y) R(y | z)",              // q3: Cert_2.
+      "R(x | y, x) R(y | x, u)",        // q5: Cert_k, no tripath.
+      "R(x | y, z) R(z | x, y)",        // q6: Cert_k OR NOT matching.
+      "R(x | y) R(y | y)",              // trivial (hom).
+  };
+  Service service;
+  for (const char* text : kCatalog) {
+    StatusOr<CompiledQuery> q = service.Compile(text);
+    ASSERT_TRUE(q.ok()) << text << ": " << q.status().ToString();
+    Rng rng(0xBA7C4);
+    InstanceParams params;
+    params.num_facts = 12;
+    params.domain_size = 3;
+    std::vector<Database> dbs;
+    for (int i = 0; i < 24; ++i) {
+      dbs.push_back(RandomInstance(q->query(), params, &rng));
+    }
+
+    BatchStats stats;
+    std::vector<StatusOr<SolveReport>> reports =
+        service.SolveBatch(*q, dbs, &stats);
+    ASSERT_EQ(reports.size(), dbs.size());
+    for (std::size_t i = 0; i < dbs.size(); ++i) {
+      ASSERT_TRUE(reports[i].ok()) << text << " db#" << i << ": "
+                                   << reports[i].status().ToString();
+      StatusOr<SolveReport> single = service.Solve(*q, dbs[i]);
+      ASSERT_TRUE(single.ok());
+      EXPECT_EQ(reports[i]->certain, single->certain) << text << " db#" << i;
+      EXPECT_EQ(reports[i]->algorithm, single->algorithm)
+          << text << " db#" << i;
+      EXPECT_EQ(reports[i]->query_class, single->query_class) << text;
+      EXPECT_EQ(reports[i]->num_facts, dbs[i].NumFacts()) << text;
+    }
+    EXPECT_EQ(stats.queries, dbs.size());
+    EXPECT_GT(stats.queries_per_sec, 0.0);
+    EXPECT_GE(stats.threads_used, 1u);
+    EXPECT_LE(stats.threads_used, dbs.size());
+  }
+}
+
+TEST(ServiceSolveBatch, EmptyBatch) {
+  Service service;
+  StatusOr<CompiledQuery> q = service.Compile("R(x | y) R(y | z)");
+  ASSERT_TRUE(q.ok());
+  BatchStats stats;
+  EXPECT_TRUE(
+      service.SolveBatch(*q, std::vector<const Database*>{}, &stats).empty());
+  EXPECT_EQ(stats.queries, 0u);
 }
 
 TEST(ServiceIntrospection, BackendNames) {

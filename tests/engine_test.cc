@@ -1,7 +1,6 @@
 // Tests for the engine layer: the backend registry (every backend agrees
 // with or under-approximates the exhaustive ground truth), the prepared
-// database indexes, and BatchSolver parity with single-shot
-// CertainSolver::Solve on randomized workloads.
+// database indexes, and CertainSolver construction and dispatch.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +12,6 @@
 #include "base/check.h"
 #include "base/rng.h"
 #include "data/prepared.h"
-#include "engine/batch.h"
 #include "engine/registry.h"
 #include "engine/solver.h"
 #include "gen/workloads.h"
@@ -169,60 +167,6 @@ TEST(PreparedDatabaseTest, ComputeSolutionsMatchesPairwiseDefinition) {
   }
 }
 
-// The acceptance bar for the engine layer: BatchSolver must produce
-// bit-identical answers to per-database CertainSolver::Solve, across the
-// dichotomy's dispatch classes and any thread count.
-TEST(BatchSolverTest, MatchesSingleShotSolveOnRandomWorkloads) {
-  for (const char* text : kCatalog) {
-    auto q = ParseQuery(text);
-    CertainSolver solver = MakeSolver(q);
-    Rng rng(0xBA7C4);
-    std::vector<Database> dbs;
-    dbs.reserve(24);
-    for (int i = 0; i < 24; ++i) dbs.push_back(SmallInstance(q, &rng));
-
-    std::vector<SolverAnswer> expected;
-    for (const Database& db : dbs) expected.push_back(solver.Solve(db));
-
-    for (std::uint32_t threads : {1u, 2u, 4u}) {
-      BatchOptions options;
-      options.num_threads = threads;
-      BatchSolver batch(solver, options);
-      BatchStats stats;
-      std::vector<SolverAnswer> actual = batch.SolveAll(dbs, &stats);
-      ASSERT_EQ(actual.size(), expected.size());
-      for (std::size_t i = 0; i < actual.size(); ++i) {
-        EXPECT_EQ(actual[i].certain, expected[i].certain)
-            << text << " threads=" << threads << " db#" << i;
-        EXPECT_EQ(actual[i].algorithm, expected[i].algorithm)
-            << text << " threads=" << threads << " db#" << i;
-      }
-      EXPECT_EQ(stats.queries, dbs.size());
-      EXPECT_GT(stats.queries_per_sec, 0.0);
-      EXPECT_LE(stats.threads_used, threads);
-    }
-  }
-}
-
-TEST(BatchSolverTest, RejectsDuplicateDatabasePointers) {
-  auto q = ParseQuery("R(x | y) R(y | z)");
-  CertainSolver solver = MakeSolver(q);
-  Database db(q.schema());
-  db.AddFactStr(0, "a b");
-  BatchSolver batch(solver, BatchOptions{2});
-  std::vector<const Database*> twice{&db, &db};
-  EXPECT_DEATH(batch.SolveAll(twice), "duplicate database pointer");
-}
-
-TEST(BatchSolverTest, EmptyBatch) {
-  auto q = ParseQuery("R(x | y) R(y | z)");
-  CertainSolver solver = MakeSolver(q);
-  BatchSolver batch(solver, BatchOptions{4});
-  BatchStats stats;
-  EXPECT_TRUE(batch.SolveAll(std::vector<const Database*>{}, &stats).empty());
-  EXPECT_EQ(stats.queries, 0u);
-}
-
 TEST(SolverCreateTest, TypedErrorsInsteadOfExceptions) {
   auto q3 = ParseQuery("R(x | y) R(y | z)");
   SolverOptions unknown;
@@ -256,31 +200,6 @@ TEST(SolverAlgorithmToString, RoundTripsExhaustively) {
     EXPECT_EQ(*parsed, a) << name;
   }
   EXPECT_FALSE(SolverAlgorithmFromString("oracle").has_value());
-}
-
-// SolveAllReports answers must be bit-identical to SolveAll on healthy
-// batches, with the report's extra provenance attached.
-TEST(BatchSolverTest, ReportsMatchAnswersOnHealthyBatches) {
-  auto q = ParseQuery("R(x | y, x) R(y | x, u)");
-  CertainSolver solver = MakeSolver(q);
-  Rng rng(0x5CA1E);
-  std::vector<Database> dbs;
-  for (int i = 0; i < 12; ++i) dbs.push_back(SmallInstance(q, &rng));
-
-  BatchSolver batch(solver, BatchOptions{2});
-  std::vector<SolverAnswer> answers = batch.SolveAll(dbs);
-  BatchStats stats;
-  std::vector<StatusOr<SolveReport>> reports =
-      batch.SolveAllReports(dbs, &stats);
-  ASSERT_EQ(reports.size(), answers.size());
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    ASSERT_TRUE(reports[i].ok()) << reports[i].status().ToString();
-    EXPECT_EQ(reports[i]->certain, answers[i].certain) << i;
-    EXPECT_EQ(reports[i]->algorithm, answers[i].algorithm) << i;
-    EXPECT_EQ(reports[i]->query_class, solver.classification().query_class);
-    EXPECT_EQ(reports[i]->num_facts, dbs[i].NumFacts());
-  }
-  EXPECT_EQ(stats.queries, dbs.size());
 }
 
 TEST(SolverOptionsTest, ForcedBackendOverridesDispatch) {

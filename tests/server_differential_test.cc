@@ -174,6 +174,22 @@ TEST(ServerDifferentialTest, TypedErrorCodesMatchInProcess) {
     EXPECT_EQ(resp->code, direct.status().code());
     EXPECT_FALSE(resp->message.empty());
   }
+  // Queries without exactly two atoms parse but are outside the
+  // dichotomy: the same kInvalidQuery as in process, and the server (and
+  // this connection) keeps serving.
+  for (const char* text : {"R(x | y)", "R(x | y) R(y | z) R(z | w)"}) {
+    StatusOr<CompiledQuery> direct = h.service.Compile(text);
+    ASSERT_FALSE(direct.ok()) << text;
+    ASSERT_EQ(direct.status().code(), StatusCode::kInvalidQuery) << text;
+    StatusOr<Response> resp = h.client.Call(h.MakeRequest("errs", text));
+    ASSERT_TRUE(resp.ok()) << text << ": " << resp.status().ToString();
+    EXPECT_EQ(resp->code, direct.status().code()) << text;
+    EXPECT_FALSE(resp->message.empty()) << text;
+    StatusOr<Response> after =
+        h.client.Call(h.MakeRequest("errs", "R(x | y) R(y | z)"));
+    ASSERT_TRUE(after.ok()) << "server must survive " << text;
+    EXPECT_EQ(after->code, StatusCode::kOk) << text;
+  }
   // Unknown forced backend.
   {
     Request req = h.MakeRequest("errs", "R(x | y) R(y | z)");
